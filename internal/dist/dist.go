@@ -9,7 +9,9 @@
 //  1. The central site aggregates the per-partition term statistics
 //     (df, Σdf, |D|) into global statistics and ships them with the
 //     query, so every node scores its local documents exactly as one
-//     global index would (ir.Stats / ir.TopNWithStats).
+//     global index would (ir.Stats / ir.TopNWithStats). Only the
+//     query's own stems' df travel (ir.Stats.ForQuery): scoring reads
+//     no others.
 //  2. Every partition evaluates the top-N query over its local
 //     fragment only — no inter-node communication — and returns a
 //     small RES(doc-oid, score) set of at most N rows.
@@ -223,6 +225,7 @@ type Cluster struct {
 	have       bool      // stats were successfully aggregated at least once
 	gen        uint64    // bumped by every invalidation; guards refresh races
 	retryAfter time.Time // failed-aggregation backoff deadline
+	statsGen   uint64    // gen the stored aggregation started under
 
 	searchCount   atomic.Uint64 // searches served
 	failoverCount atomic.Uint64 // replica failovers across all searches
@@ -952,7 +955,9 @@ func (c *Cluster) statsBackoff() time.Duration {
 // refreshes may race each other (they produce the same answer), but
 // queries never queue behind a slow node's round-trip. A refresh that
 // overlapped an Add stores its result as the latest aggregation
-// without marking it fresh, so the next query re-aggregates.
+// without marking it fresh, so the next query re-aggregates; a refresh
+// that finishes after one started later never replaces the later
+// one's result.
 func (c *Cluster) GlobalStatsContext(ctx context.Context) (ir.Stats, error) {
 	c.mu.Lock()
 	if c.fresh {
@@ -1001,13 +1006,17 @@ func (c *Cluster) GlobalStatsContext(ctx context.Context) (ir.Stats, error) {
 	}
 	merged := ir.MergeStats(locals...)
 	c.mu.Lock()
-	c.stats = merged
-	c.have = true
+	defer c.mu.Unlock()
 	c.retryAfter = time.Time{}
+	if c.have && gen < c.statsGen {
+		// A refresh that started after an invalidation this one
+		// predates has already stored newer statistics: serve those.
+		return c.stats, nil
+	}
+	c.stats, c.statsGen, c.have = merged, gen, true
 	if c.gen == gen {
 		c.fresh = true
 	}
-	c.mu.Unlock()
 	return merged, nil
 }
 
@@ -1122,6 +1131,8 @@ func (c *Cluster) SearchPlan(ctx context.Context, query string, plan ir.EvalPlan
 		}
 		global, sr.StaleStats = stale, true
 	}
+	// Ship only the query's stems' df: scoring reads no others.
+	global = global.ForQuery(query)
 	c.searchCount.Add(1)
 	fanStart := time.Now()
 	type planRes struct {
@@ -1233,6 +1244,7 @@ func (c *Cluster) TopNSequential(query string, n int) []ir.Result {
 	if err != nil {
 		return nil
 	}
+	global = global.ForQuery(query)
 	rankings := make([][]ir.Result, len(c.groups))
 	for g := range c.groups {
 		res, _, _, err := groupCall(c, ctx, g, 1, func(nctx context.Context, n_ Node) ([]ir.Result, error) {

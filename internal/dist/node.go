@@ -31,12 +31,17 @@ type Node interface {
 	Stats(ctx context.Context) (ir.Stats, error)
 	// TopNWithStats evaluates the query over the node's local fragment
 	// using the supplied global statistics and returns at most n
-	// results — the RES(doc-oid, score) set of the paper.
+	// results — the RES(doc-oid, score) set of the paper. global's DF
+	// must cover at least the query's stems (ir.Terms); entries for
+	// other stems are never read, so the Cluster ships only the
+	// query's projection (ir.Stats.ForQuery). Implementations treat
+	// global as read-only: it may be shared by concurrent queries.
 	TopNWithStats(ctx context.Context, query string, n int, global ir.Stats) ([]ir.Result, error)
 	// SearchPlan evaluates the query under a fragment-budgeted plan:
 	// the node fragments its own partition on descending idf, evaluates
 	// only the plan's budgeted prefix, and reports the RES set plus the
-	// quality it achieved. An exact plan behaves like TopNWithStats.
+	// quality it achieved. An exact plan behaves like TopNWithStats;
+	// global follows the same contract as there.
 	// This pushes the a-priori cut-off of [BHC+01] below the per-node
 	// RES sets — the fragment-aware combination of both scaling axes.
 	SearchPlan(ctx context.Context, query string, plan ir.EvalPlan, global ir.Stats) ([]ir.Result, ir.QualityEstimate, error)

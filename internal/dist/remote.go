@@ -83,7 +83,7 @@ type AddBatchRequest struct {
 }
 
 // StatsJSON is the wire form of ir.Stats (GET /node/stats, and the
-// global statistics shipped with every top-N request).
+// query's global statistics shipped with every top-N request).
 type StatsJSON struct {
 	DF      map[string]int `json:"df"`
 	TotalDF int            `json:"total_df"`
@@ -554,11 +554,18 @@ var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // an "rpc:<path>" span plus the request-ID header the node echoes
 // into its own telemetry.
 func (rn *RemoteNode) do(ctx context.Context, path string, in, out any) error {
+	return rn.doAccept(ctx, path, in, out, nil)
+}
+
+// doAccept is do that, given a binary decoder, also asks for the
+// binary encoding: a binary answer goes to decodeWire, a JSON one
+// (a peer without the binary codec) to out.
+func (rn *RemoteNode) doAccept(ctx context.Context, path string, in, out any, decodeWire func(frame []byte) error) error {
 	if rn.met == nil && obs.FromContext(ctx) == nil {
-		return rn.roundTrip(ctx, path, in, out)
+		return rn.roundTrip(ctx, path, in, out, decodeWire)
 	}
 	start := time.Now()
-	err := rn.roundTrip(ctx, path, in, out)
+	err := rn.roundTrip(ctx, path, in, out, decodeWire)
 	if rn.met != nil {
 		rn.met.Latency.ObserveSince(start)
 	}
@@ -566,7 +573,7 @@ func (rn *RemoteNode) do(ctx context.Context, path string, in, out any) error {
 	return err
 }
 
-func (rn *RemoteNode) roundTrip(ctx context.Context, path string, in, out any) error {
+func (rn *RemoteNode) roundTrip(ctx context.Context, path string, in, out any, decodeWire func(frame []byte) error) error {
 	var body io.Reader
 	method := http.MethodGet
 	if in != nil {
@@ -587,6 +594,9 @@ func (rn *RemoteNode) roundTrip(ctx context.Context, path string, in, out any) e
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	if decodeWire != nil {
+		req.Header["Accept"] = wireHeader["Accept"]
 	}
 	if tr := obs.FromContext(ctx); tr != nil && tr.ID != "" {
 		req.Header.Set(obs.HeaderRequestID, tr.ID)
@@ -611,6 +621,16 @@ func (rn *RemoteNode) roundTrip(ctx context.Context, path string, in, out any) e
 	}
 	if out == nil {
 		io.Copy(io.Discard, rbody)
+		return nil
+	}
+	if decodeWire != nil && strings.HasPrefix(resp.Header.Get("Content-Type"), persist.WireContentType) {
+		frame, err := io.ReadAll(io.LimitReader(rbody, maxWireResponse))
+		if err == nil {
+			err = decodeWire(frame)
+		}
+		if err != nil {
+			return fmt.Errorf("dist: node %s%s: %w", rn.base, path, err)
+		}
 		return nil
 	}
 	if err := json.NewDecoder(rbody).Decode(out); err != nil {
@@ -647,12 +667,12 @@ func (rn *RemoteNode) AddBatch(ctx context.Context, docs []Doc) error {
 	return rn.do(ctx, PathNodeAddBatch, req, nil)
 }
 
-// Stats implements Node.
+// Stats implements Node. Over the persistent-connection transport
+// stats are one frame each way; otherwise (a trace needs HTTP headers,
+// or the peer refused the upgrade) they are a GET that asks for the
+// binary encoding and decodes whichever codec the peer answers in.
 func (rn *RemoteNode) Stats(ctx context.Context) (ir.Stats, error) {
 	if rn.useBinary() && rn.pool != nil && obs.FromContext(ctx) == nil {
-		// Over the persistent-connection transport stats are one frame
-		// each way; over HTTP they stay a JSON GET (the endpoint is off
-		// the per-query hot path — the coordinator caches global stats).
 		wb := persist.GetWireBuffer()
 		wb.EncodeStatsRequest()
 		var out ir.Stats
@@ -666,11 +686,26 @@ func (rn *RemoteNode) Stats(ctx context.Context) (ir.Stats, error) {
 			return out, err
 		}
 	}
-	var w StatsJSON
-	if err := rn.do(ctx, PathNodeStats, nil, &w); err != nil {
+	var (
+		out        ir.Stats
+		binary     bool
+		w          StatsJSON
+		decodeWire func([]byte) error
+	)
+	if rn.useBinary() {
+		decodeWire = func(frame []byte) (err error) {
+			out, err = persist.DecodeStatsResponse(frame)
+			binary = true
+			return err
+		}
+	}
+	if err := rn.doAccept(ctx, PathNodeStats, nil, &w, decodeWire); err != nil {
 		return ir.Stats{}, err
 	}
-	return StatsFromJSON(w), nil
+	if !binary {
+		out = StatsFromJSON(w)
+	}
+	return out, nil
 }
 
 // TopNWithStats implements Node.

@@ -6,12 +6,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"dlsearch/internal/bat"
 	"dlsearch/internal/dist"
 	"dlsearch/internal/ir"
+	"dlsearch/internal/obs"
 	"dlsearch/internal/server"
 )
 
@@ -222,4 +224,105 @@ func TestWireConnSaturationSheds(t *testing.T) {
 		t.Fatal("every concurrent wire RPC failed")
 	}
 	t.Logf("16 concurrent RPCs over MaxConcurrent=1: %d served, %d shed", ok, shed)
+}
+
+// TestSearchRequestCarriesQueryStats: a node request ships the
+// statistics of the query's stems, not the whole vocabulary. On a
+// cluster of over 10k stems, one exact and one budgeted search for a
+// 3-term query each send every node under 1 KiB, over every codec.
+func TestSearchRequestCarriesQueryStats(t *testing.T) {
+	docs := make([]dist.Doc, 200)
+	for i := range docs {
+		var sb strings.Builder
+		sb.WriteString("champion winner serve ")
+		for w := 0; w < 60; w++ {
+			fmt.Fprintf(&sb, "v%dx%d ", i, w)
+		}
+		docs[i] = dist.Doc{OID: bat.OID(i + 1), URL: "u", Text: sb.String()}
+	}
+	for _, codec := range []struct {
+		name  string
+		codec dist.Codec
+	}{{"json", dist.CodecJSON}, {"binary", dist.CodecBinary}, {"wire", dist.CodecWire}} {
+		c := startCodecCluster(t, 2, codec.codec, false)
+		ctx := context.Background()
+		if err := c.AddBatchContext(ctx, docs); err != nil {
+			t.Fatalf("codec=%s add: %v", codec.name, err)
+		}
+		global, err := c.GlobalStatsContext(ctx)
+		if err != nil {
+			t.Fatalf("codec=%s stats: %v", codec.name, err)
+		}
+		if len(global.DF) < 10000 {
+			t.Fatalf("codec=%s: %d stems, want ≥ 10000", codec.name, len(global.DF))
+		}
+		for _, plan := range []ir.EvalPlan{{N: 10}, {N: 10, Budget: 1, MinQuality: 0.9}} {
+			before := make([]uint64, c.Size())
+			for g := range before {
+				_, _, before[g] = c.NodeAt(g).(*dist.RemoteNode).WireInfo()
+			}
+			sr, err := c.SearchPlan(ctx, "champion winner serve", plan)
+			if err != nil || !sr.Complete() || len(sr.Results) == 0 {
+				t.Fatalf("codec=%s plan=%+v: search %+v, %v", codec.name, plan, sr, err)
+			}
+			for g := range before {
+				_, _, out := c.NodeAt(g).(*dist.RemoteNode).WireInfo()
+				if sent := out - before[g]; sent == 0 || sent >= 1024 {
+					t.Fatalf("codec=%s plan=%+v node %d: request of %d bytes, want (0, 1024)", codec.name, plan, g, sent)
+				}
+			}
+		}
+	}
+}
+
+// TestTracedStatsOverBinary: a statistics refresh with a trace riding
+// the context (every coordinator request carries one) is a GET that
+// asks for the binary encoding, and still reads a JSON-only peer's
+// JSON answer.
+func TestTracedStatsOverBinary(t *testing.T) {
+	ix := ir.NewIndex()
+	for i, d := range remoteCorpus(200, 3) {
+		ix.Add(bat.OID(i+1), "u", d)
+	}
+	srv := httptest.NewServer(server.NewNodeHandler(ix, nil))
+	t.Cleanup(srv.Close)
+	jsonSrv := httptest.NewServer(server.NewNodeHandler(ix, &server.NodeConfig{JSONOnly: true}))
+	t.Cleanup(jsonSrv.Close)
+	ctx := obs.NewContext(context.Background(), obs.NewTrace("stats-test"))
+	want := ix.StatsLocal()
+
+	var sizes []uint64
+	for _, tc := range []struct {
+		name  string
+		url   string
+		codec dist.Codec
+	}{
+		{"binary", srv.URL, dist.CodecBinary},
+		{"wire", srv.URL, dist.CodecWire},
+		{"json", srv.URL, dist.CodecJSON},
+		{"binary-vs-json-node", jsonSrv.URL, dist.CodecBinary},
+	} {
+		rn := dist.NewRemoteNode(tc.url, srv.Client())
+		rn.SetCodec(tc.codec)
+		got, err := rn.Stats(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.Docs != want.Docs || got.TotalDF != want.TotalDF || len(got.DF) != len(want.DF) {
+			t.Fatalf("%s: stats {Docs:%d TotalDF:%d |DF|:%d}, want {%d %d %d}", tc.name,
+				got.Docs, got.TotalDF, len(got.DF), want.Docs, want.TotalDF, len(want.DF))
+		}
+		for term, df := range want.DF {
+			if got.DF[term] != df {
+				t.Fatalf("%s: DF[%q] = %d, want %d", tc.name, term, got.DF[term], df)
+			}
+		}
+		_, in, _ := rn.WireInfo()
+		sizes = append(sizes, in)
+	}
+	// The binary codecs read a framed block, the JSON ones a JSON body
+	// of the same statistics.
+	if sizes[0] != sizes[1] || sizes[0] >= sizes[2] || sizes[2] != sizes[3] {
+		t.Fatalf("response bytes binary/wire/json/json-node = %v, want binary = wire < json = json-node", sizes)
+	}
 }

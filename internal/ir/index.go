@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -747,11 +748,16 @@ func Merge(n int, rankings ...[]Result) []Result {
 	for _, r := range rankings {
 		all = append(all, r...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
+	// slices.SortFunc, unlike sort.Slice, allocates nothing: Merge runs
+	// once per distributed search.
+	slices.SortFunc(all, func(a, b Result) int {
+		if a.Score != b.Score {
+			if a.Score > b.Score {
+				return -1
+			}
+			return 1
 		}
-		return all[i].Doc < all[j].Doc
+		return cmp.Compare(a.Doc, b.Doc)
 	})
 	if n < 0 {
 		n = 0

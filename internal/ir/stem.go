@@ -12,9 +12,14 @@ import "strings"
 // algorithm (1980). The paper stores "the corresponding stems" in the
 // term relation T; this is the standard stemmer that implies.
 func Stem(word string) string {
-	w := []byte(strings.ToLower(word))
+	return string(stemBytes([]byte(strings.ToLower(word))))
+}
+
+// stemBytes stems the lower-case word w in place: no rule lengthens a
+// word, so the returned stem always fits in w's array.
+func stemBytes(w []byte) []byte {
 	if len(w) <= 2 {
-		return string(w)
+		return w
 	}
 	w = step1a(w)
 	w = step1b(w)
@@ -24,7 +29,7 @@ func Stem(word string) string {
 	w = step4(w)
 	w = step5a(w)
 	w = step5b(w)
-	return string(w)
+	return w
 }
 
 // isCons reports whether w[i] acts as a consonant.
@@ -107,8 +112,9 @@ func hasSuffix(w []byte, s string) bool {
 	return len(w) >= len(s) && string(w[len(w)-len(s):]) == s
 }
 
-// replaceSuffix replaces suffix s with r if the stem before s has
-// measure > m. Returns the new word and whether a replacement happened.
+// replaceSuffix replaces suffix s with r, in place, if the stem before
+// s has measure > m (every rule's r is no longer than its s). Returns
+// the new word and whether a replacement happened.
 func replaceSuffix(w []byte, s, r string, m int) ([]byte, bool) {
 	if !hasSuffix(w, s) {
 		return w, false
@@ -117,7 +123,7 @@ func replaceSuffix(w []byte, s, r string, m int) ([]byte, bool) {
 	if measure(stem) <= m {
 		return w, true // suffix matched; rule consumed but no change
 	}
-	return append(append([]byte{}, stem...), r...), true
+	return append(stem, r...), true
 }
 
 func step1a(w []byte) []byte {

@@ -19,8 +19,10 @@
 // the same guarantee the JSON codec gets from Go's shortest
 // round-trip float encoding. Global statistics are encoded with the
 // vocabulary sorted, making the bytes deterministic for a given
-// Stats value; WireStatsCache exploits that to decode a repeated
-// statistics block exactly once.
+// Stats value. A request carries the statistics projected onto its
+// query (ir.Stats.ForQuery), so the block repeats exactly when the
+// query repeats between ingests; WireStatsCache exploits that to
+// decode a repeated statistics block once.
 //
 // Decodes fail closed, exactly like snapshots: bad magic, an unknown
 // version or kind, truncation anywhere, a flipped bit, trailing bytes
@@ -391,12 +393,14 @@ func (d *decoder) finishWire() error {
 	return nil
 }
 
-// WireStatsCache interns decoded global-statistics blocks. The
-// coordinator ships identical statistics with every query between
-// ingests and the encoding is deterministic, so the node decodes each
-// distinct block once and serves the cached value by digest — the
-// statistics map dominates request decode cost. Callers must treat
-// returned Stats as read-only (scoring does). The zero value is ready.
+// WireStatsCache interns the most recently decoded global-statistics
+// block. The coordinator ships each query's projection of the global
+// statistics, identical for a repeated query between ingests, and the
+// encoding is deterministic, so a node serving the same query again
+// skips the block decode and serves the cached value by digest. It
+// holds one block: distinct queries in a row each decode their own
+// (a few entries). Callers must treat returned Stats as read-only
+// (scoring does). The zero value is ready.
 type WireStatsCache struct {
 	v atomic.Pointer[wireStatsEntry]
 }

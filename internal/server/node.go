@@ -96,7 +96,8 @@ type NodeServer struct {
 	// jsonOnly disables the binary codec (NodeConfig.JSONOnly).
 	jsonOnly bool
 	// statsCache interns the decoded global-statistics block binary
-	// requests carry — identical between ingests, decoded once.
+	// requests carry — identical for a repeated query between ingests,
+	// decoded once.
 	statsCache persist.WireStatsCache
 	// wireConns counts live upgraded connections (capped at maxConc).
 	wireConns atomic.Int64
