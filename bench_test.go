@@ -166,6 +166,10 @@ func BenchmarkE10FragmentedTopN(b *testing.B) {
 			b.ReportAllocs()
 			b.ReportMetric(quality.Value(), "quality")
 			b.ReportMetric(float64(len(res)), "results")
+			// One untimed call refills the scorer pool the framework's
+			// GC may have emptied, so short runs count steady state.
+			ix.TopNFragments(query, 10, frags)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ix.TopNFragments(query, 10, frags)
 			}
@@ -437,6 +441,8 @@ func BenchmarkE19CompressedScoring(b *testing.B) {
 			b.ReportMetric(float64(plain)/1024, "plain_kb")
 			b.ReportMetric(float64(packed)/1024, "packed_kb")
 			b.ReportMetric(float64(cold), "cold_terms")
+			ix.TopN(query, 10) // untimed warm-up, as in E10
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if got := ix.TopN(query, 10); len(got) != 10 {
 					b.Fatalf("got %d", len(got))
@@ -495,16 +501,22 @@ func BenchmarkE20ObservabilityOverhead(b *testing.B) {
 // acceptance bar of the binary-wire PR reads the nodes=1 rows:
 // codec=wire must carry ≥5× fewer bytes/op and allocs/op than
 // pr2_network's JSON baseline (15329 B/op, 223 allocs/op).
+// "wire-traced" is "wire" with a fresh trace on every search, the way
+// the coordinator serves /search and /query: the request ID rides the
+// frame in a traced envelope, so the rows price tracing on the
+// production path (trace, spans, envelope, node-side trace).
 func BenchmarkE21BinaryWire(b *testing.B) {
 	docs := textCorpus(2000, 4)
 	ctx := context.Background()
 	codecs := []struct {
-		name  string
-		codec dist.Codec
+		name   string
+		codec  dist.Codec
+		traced bool
 	}{
-		{"json", dist.CodecJSON},
-		{"binary", dist.CodecBinary},
-		{"wire", dist.CodecWire},
+		{"json", dist.CodecJSON, false},
+		{"binary", dist.CodecBinary, false},
+		{"wire", dist.CodecWire, false},
+		{"wire-traced", dist.CodecWire, true},
 	}
 	for _, cc := range codecs {
 		for _, k := range []int{1, 2, 4, 8} {
@@ -523,16 +535,25 @@ func BenchmarkE21BinaryWire(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			search := func(b *testing.B) {
+				sctx := ctx
+				if cc.traced {
+					sctx = obs.NewContext(ctx, obs.NewTrace(""))
+				}
+				sr, err := c.Search(sctx, "champion winner serve", 10)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(sr.Results) != 10 || !sr.Complete() {
+					b.Fatalf("results=%d dropped=%v", len(sr.Results), sr.Dropped)
+				}
+			}
 			b.Run(fmt.Sprintf("codec=%s/nodes=%d", cc.name, k), func(b *testing.B) {
 				b.ReportAllocs()
+				search(b) // untimed warm-up, as in E10
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sr, err := c.Search(ctx, "champion winner serve", 10)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(sr.Results) != 10 || !sr.Complete() {
-						b.Fatalf("results=%d dropped=%v", len(sr.Results), sr.Dropped)
-					}
+					search(b)
 				}
 			})
 		}

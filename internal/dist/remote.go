@@ -287,9 +287,10 @@ type RemoteNode struct {
 // RemoteNodes (they may share one set — the histograms are mergeable
 // and the counters atomic). All fields optional.
 type RemoteMetrics struct {
-	// Latency observes every JSON round-trip (failures included), in
-	// seconds. Whole-fragment transfers are not observed here — their
-	// durations scale with the fragment, not the RPC path.
+	// Latency observes every hot-path round-trip over any codec or
+	// transport (failures included), in seconds. Whole-fragment
+	// transfers are not observed here — their durations scale with
+	// the fragment, not the RPC path.
 	Latency *obs.Histogram
 	// BytesOut counts JSON request-body bytes sent.
 	BytesOut *obs.Counter
@@ -436,30 +437,40 @@ func (rn *RemoteNode) useBinary() bool {
 
 // doBinary runs one hot-path RPC over the best available binary
 // layer: the persistent-connection transport when the peer speaks it
-// (and no trace needs HTTP headers), else binary bodies over HTTP.
-// handle receives the verified response frame. errWireUnsupported
-// means the peer speaks neither binary layer — the caller retries the
-// RPC in JSON and rn remembers via jsonOnly.
+// (a trace rides it in the traced envelope), else binary bodies over
+// HTTP. handle receives the verified response frame.
+// errWireUnsupported means the peer speaks neither binary layer — the
+// caller retries the RPC in JSON and rn remembers via jsonOnly.
 func (rn *RemoteNode) doBinary(ctx context.Context, path string, req *persist.WireBuffer, handle func(frame []byte) error) error {
 	if rn.met == nil && obs.FromContext(ctx) == nil {
 		return rn.binaryRoundTrip(ctx, path, req, handle)
 	}
 	start := time.Now()
 	err := rn.binaryRoundTrip(ctx, path, req, handle)
+	rn.observe(ctx, path, start)
+	return err
+}
+
+// observe feeds one finished round-trip to the RPC latency histogram
+// and to the "rpc:<path>" span of a trace riding ctx.
+func (rn *RemoteNode) observe(ctx context.Context, path string, start time.Time) {
 	if rn.met != nil {
 		rn.met.Latency.ObserveSince(start)
 	}
 	obs.FromContext(ctx).AddSpan("rpc:"+path, start)
-	return err
 }
 
+// binaryRoundTrip sends one framed request over the persistent
+// connection when rn has one, traced or not, and over HTTP binary
+// when it has none (https peers, CodecBinary), when the peer refused
+// the upgrade, or when a traced RPC meets a peer without the traced
+// envelope.
 func (rn *RemoteNode) binaryRoundTrip(ctx context.Context, path string, req *persist.WireBuffer, handle func(frame []byte) error) error {
-	if rn.pool != nil && obs.FromContext(ctx) == nil {
+	if rn.pool != nil {
 		err := rn.connRPC(ctx, path, req, handle)
 		if !errors.Is(err, errWireUnsupported) {
 			return err
 		}
-		// The peer refused the upgrade; try binary bodies over HTTP.
 	}
 	return rn.httpBinary(ctx, path, req, handle)
 }
@@ -566,10 +577,7 @@ func (rn *RemoteNode) doAccept(ctx context.Context, path string, in, out any, de
 	}
 	start := time.Now()
 	err := rn.roundTrip(ctx, path, in, out, decodeWire)
-	if rn.met != nil {
-		rn.met.Latency.ObserveSince(start)
-	}
-	obs.FromContext(ctx).AddSpan("rpc:"+path, start)
+	rn.observe(ctx, path, start)
 	return err
 }
 
@@ -668,11 +676,13 @@ func (rn *RemoteNode) AddBatch(ctx context.Context, docs []Doc) error {
 }
 
 // Stats implements Node. Over the persistent-connection transport
-// stats are one frame each way; otherwise (a trace needs HTTP headers,
-// or the peer refused the upgrade) they are a GET that asks for the
+// stats are one frame each way, traced or not; otherwise (no
+// connection, the peer refused the upgrade, or a traced refresh meets
+// a peer without the traced envelope) they are a GET that asks for the
 // binary encoding and decodes whichever codec the peer answers in.
 func (rn *RemoteNode) Stats(ctx context.Context) (ir.Stats, error) {
-	if rn.useBinary() && rn.pool != nil && obs.FromContext(ctx) == nil {
+	if rn.useBinary() && rn.pool != nil {
+		start := time.Now()
 		wb := persist.GetWireBuffer()
 		wb.EncodeStatsRequest()
 		var out ir.Stats
@@ -683,6 +693,7 @@ func (rn *RemoteNode) Stats(ctx context.Context) (ir.Stats, error) {
 		})
 		persist.PutWireBuffer(wb)
 		if !errors.Is(err, errWireUnsupported) {
+			rn.observe(ctx, PathNodeStats, start)
 			return out, err
 		}
 	}

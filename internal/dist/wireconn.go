@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"dlsearch/internal/obs"
 	"dlsearch/internal/persist"
 )
 
@@ -23,11 +24,24 @@ import (
 // speak it (an older node, a JSON-only node, a proxy that strips
 // Upgrade) refuses the upgrade once and the RemoteNode falls back to
 // HTTP permanently for that peer, so deployments mix freely.
+//
+// A traced RPC (a trace rides the caller's context, as on every
+// coordinator request) travels the same connection inside a
+// persist.WireTraced envelope carrying the request ID. The node
+// advertises the envelope in its 101 answer (persist.WireTracedHeader);
+// against a peer that does not, traced RPCs go over HTTP binary, which
+// carries the ID in a header, and untraced ones stay on the connection.
 
 // errWireUnsupported reports a peer that does not speak the attempted
 // wire transport or codec; the caller falls back a level (upgraded
 // connection → HTTP binary → HTTP JSON) and remembers.
 var errWireUnsupported = errors.New("dist: peer does not speak the binary wire protocol")
+
+// errTracedUnsupported reports a traced RPC to a peer whose upgraded
+// connection does not accept the traced envelope; the caller sends it
+// over HTTP binary instead. It wraps errWireUnsupported so the one
+// fallback check covers both.
+var errTracedUnsupported = fmt.Errorf("%w: no traced envelope", errWireUnsupported)
 
 const (
 	// maxWireResponse caps one response frame read from a node — far
@@ -55,6 +69,9 @@ type wirePool struct {
 	// will not start speaking dlwire until it restarts, and when it
 	// restarts the process likely replaced this client too.
 	unsupported bool
+	// noTraced records that the latest upgrade answer did not advertise
+	// the traced envelope, so traced RPCs skip the pool without dialing.
+	noTraced bool
 }
 
 func newWirePool(base string) *wirePool {
@@ -71,24 +88,31 @@ func newWirePool(base string) *wirePool {
 }
 
 // wireConn is one upgraded connection: the raw conn, its buffered
-// reader (owns bytes buffered during the upgrade) and the reusable
-// frame scratch.
+// reader (owns bytes buffered during the upgrade), the reusable frame
+// scratch, and whether the peer accepts traced envelopes on it.
 type wireConn struct {
-	c     net.Conn
-	br    *bufio.Reader
-	frame []byte
+	c      net.Conn
+	br     *bufio.Reader
+	frame  []byte
+	traced bool
 }
 
 func (wc *wireConn) close() { wc.c.Close() }
 
 // get pops an idle connection or dials a fresh one. fromPool tells
 // the caller whether a failure may just be a stale idle connection
-// (worth one retry) rather than a live fault.
-func (p *wirePool) get(ctx context.Context) (wc *wireConn, fromPool bool, err error) {
+// (worth one retry) rather than a live fault. traced asks for a
+// connection that accepts the traced envelope; against a peer known
+// not to, get fails with errTracedUnsupported instead of dialing.
+func (p *wirePool) get(ctx context.Context, traced bool) (wc *wireConn, fromPool bool, err error) {
 	p.mu.Lock()
 	if p.unsupported {
 		p.mu.Unlock()
 		return nil, false, errWireUnsupported
+	}
+	if traced && p.noTraced {
+		p.mu.Unlock()
+		return nil, false, errTracedUnsupported
 	}
 	if n := len(p.idle); n > 0 {
 		wc = p.idle[n-1]
@@ -113,8 +137,8 @@ func (p *wirePool) put(wc *wireConn) {
 	wc.close()
 }
 
-// closeIdle drops every pooled connection (used when the codec is
-// switched away from CodecWire).
+// closeIdle drops every pooled connection (when the codec is switched
+// away from CodecWire, or one of them turned out stale).
 func (p *wirePool) closeIdle() {
 	p.mu.Lock()
 	idle := p.idle
@@ -185,37 +209,69 @@ func (p *wirePool) dial(ctx context.Context) (*wireConn, error) {
 	}
 	resp.Body.Close()
 	c.SetDeadline(time.Time{})
+	traced := resp.Header.Get(persist.WireTracedHeader) == "1"
+	p.mu.Lock()
+	p.noTraced = !traced
+	p.mu.Unlock()
 	// Bytes the response read buffered beyond the 101 belong to the
 	// frame stream, so the same reader carries over.
-	return &wireConn{c: c, br: br}, nil
+	return &wireConn{c: c, br: br, traced: traced}, nil
 }
 
 // connRPC runs one framed RPC over the node's persistent-connection
 // transport: write the request frame, read one response frame, hand
-// it to handle (which must copy anything it keeps). A stale idle
+// it to handle (which must copy anything it keeps). A trace riding ctx
+// wraps the request in a traced envelope carrying its ID; a peer that
+// does not accept envelopes answers errTracedUnsupported. A stale idle
 // connection (closed by the peer while pooled) earns one retry on a
 // fresh dial; an error after any response byte is terminal.
 func (rn *RemoteNode) connRPC(ctx context.Context, path string, req *persist.WireBuffer, handle func(frame []byte) error) error {
 	if err := req.Err(); err != nil {
 		return fmt.Errorf("dist: encode %s: %w", path, err)
 	}
+	var traceID string
+	if tr := obs.FromContext(ctx); tr != nil {
+		traceID = tr.ID
+	}
 	deadline := time.Now().Add(rn.timeout())
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
+	frame := req.Bytes()
+	var env *persist.WireBuffer
+	defer func() { persist.PutWireBuffer(env) }()
 	for attempt := 0; ; attempt++ {
-		wc, fromPool, err := rn.pool.get(ctx)
+		wc, fromPool, err := rn.pool.get(ctx, traceID != "")
 		if err != nil {
 			return err
 		}
-		gotResponse, err := rn.connExchange(wc, deadline, path, req.Bytes(), handle)
+		if traceID != "" {
+			if !wc.traced {
+				rn.pool.put(wc)
+				return errTracedUnsupported
+			}
+			if env == nil {
+				env = persist.GetWireBuffer()
+				env.EncodeTraced(traceID, frame)
+				if err := env.Err(); err != nil {
+					rn.pool.put(wc)
+					return fmt.Errorf("dist: encode %s: %w", path, err)
+				}
+				frame = env.Bytes()
+			}
+		}
+		gotResponse, err := rn.connExchange(wc, deadline, path, frame, handle)
 		if err == nil {
 			rn.pool.put(wc)
 			return nil
 		}
 		wc.close()
 		if fromPool && !gotResponse && attempt == 0 && ctx.Err() == nil {
-			continue // stale pooled connection; one fresh dial
+			// A stale pooled connection: its idle siblings most likely
+			// died with the same peer process, so drop them all and
+			// retry once on a fresh dial.
+			rn.pool.closeIdle()
+			continue
 		}
 		return err
 	}

@@ -1,8 +1,9 @@
 // The node wire protocol's binary codec: compact framed messages for
 // the coordinator↔node hot path — top-N / search requests (query +
 // plan + global statistics), RES-set responses, batch ingest and
-// statistics — reusing the snapshot format's varint+delta machinery
-// and its integrity discipline.
+// statistics, plus the traced envelope that carries a coordinator's
+// request ID around any one request — reusing the snapshot format's
+// varint+delta machinery and its integrity discipline.
 //
 // Frame (all integers little-endian / unsigned varint):
 //
@@ -22,7 +23,10 @@
 // Stats value. A request carries the statistics projected onto its
 // query (ir.Stats.ForQuery), so the block repeats exactly when the
 // query repeats between ingests; WireStatsCache exploits that to
-// decode a repeated statistics block once.
+// decode a repeated statistics block once. A traced request travels
+// as a WireTraced envelope: the request ID, then the complete inner
+// request frame, unchanged — so traced and untraced RPCs share one
+// transport and one set of request decoders.
 //
 // Decodes fail closed, exactly like snapshots: bad magic, an unknown
 // version or kind, truncation anywhere, a flipped bit, trailing bytes
@@ -59,6 +63,12 @@ const WireContentType = "application/x-dlsearch-wire"
 // no per-request HTTP overhead).
 const WireProtocol = "dlwire"
 
+// WireTracedHeader is the header a node's "101 Switching Protocols"
+// answer carries, with value "1", when the upgraded connection accepts
+// WireTraced envelopes. A client sends traced RPCs to a peer whose
+// answer lacks it (an older build) as HTTP requests instead.
+const WireTracedHeader = "Dl-Wire-Traced"
+
 // wireMagic identifies one framed wire message.
 var wireMagic = [6]byte{'D', 'L', 'W', 'I', 'R', 'E'}
 
@@ -88,6 +98,11 @@ const (
 	// WireStatsRequest asks for the node's local statistics (empty
 	// payload; the persistent-connection transport's GET).
 	WireStatsRequest WireKind = 0x04
+	// WireTraced wraps one request frame (0x01–0x04) with the
+	// coordinator's request ID: the ID (length-prefixed, non-empty),
+	// then the complete inner frame. It is answered exactly like its
+	// inner request; envelopes do not nest.
+	WireTraced WireKind = 0x05
 
 	// WireTopNResponse answers WireTopNRequest with a RES set.
 	WireTopNResponse WireKind = 0x11
@@ -102,6 +117,12 @@ const (
 	// the persistent-connection transport's non-200.
 	WireError WireKind = 0x1f
 )
+
+// isRequest reports whether k is a plain (unwrapped) request kind —
+// what a WireTraced envelope may carry.
+func (k WireKind) isRequest() bool {
+	return k >= WireTopNRequest && k <= WireStatsRequest
+}
 
 // maxWirePayload bounds one frame's payload; the u32 length field is
 // authoritative, this is the sanity ceiling.
@@ -247,6 +268,16 @@ func (b *WireBuffer) EncodeSearchRequest(query string, plan ir.EvalPlan, stats i
 	b.i(int64(plan.Budget))
 	b.f64(plan.MinQuality)
 	b.stats(stats)
+	b.finish()
+}
+
+// EncodeTraced frames a traced envelope: the request ID followed by
+// inner, one complete request frame (typically another WireBuffer's
+// Bytes; it must not alias b).
+func (b *WireBuffer) EncodeTraced(id string, inner []byte) {
+	b.begin(WireTraced)
+	b.str(id)
+	b.buf.Write(inner)
 	b.finish()
 }
 
@@ -473,6 +504,34 @@ func DecodeSearchRequest(msg []byte, cache *WireStatsCache) (query string, plan 
 		return "", ir.EvalPlan{}, ir.Stats{}, err
 	}
 	return query, plan, stats, nil
+}
+
+// DecodeTraced verifies a WireTraced envelope and returns its request
+// ID and inner request frame (aliasing msg). The inner frame is
+// verified too: an empty ID, a nested envelope, an inner frame of a
+// non-request kind or one that fails its own checks all fail closed.
+func DecodeTraced(msg []byte) (id string, inner []byte, err error) {
+	payload, err := expectWire(msg, WireTraced)
+	if err != nil {
+		return "", nil, err
+	}
+	d := decoder{buf: payload}
+	id = d.str()
+	if d.err != nil {
+		return "", nil, fmt.Errorf("%w: %v", ErrWireCorrupt, d.err)
+	}
+	if id == "" {
+		return "", nil, fmt.Errorf("%w: traced envelope with an empty request ID", ErrWireCorrupt)
+	}
+	inner = d.buf
+	kind, _, err := DecodeWire(inner)
+	if err != nil {
+		return "", nil, err
+	}
+	if !kind.isRequest() {
+		return "", nil, fmt.Errorf("%w: traced envelope carries kind 0x%02x, not a request", ErrWireCorrupt, byte(kind))
+	}
+	return id, inner, nil
 }
 
 // DecodeTopNResponse decodes a WireTopNResponse frame.

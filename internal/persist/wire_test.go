@@ -88,6 +88,19 @@ func wireMessages(t *testing.T) map[string]struct {
 			enc(func(b *WireBuffer) { b.EncodeStatsResponse(stats) }),
 			func(m []byte) error { _, err := DecodeStatsResponse(m); return err },
 		},
+		"traced-search-request": {
+			enc(func(b *WireBuffer) {
+				b.EncodeTraced("0123456789abcdef", enc(func(b *WireBuffer) { b.EncodeSearchRequest("champion", plan, stats) }))
+			}),
+			func(m []byte) error {
+				_, inner, err := DecodeTraced(m)
+				if err != nil {
+					return err
+				}
+				_, _, _, err = DecodeSearchRequest(inner, nil)
+				return err
+			},
+		},
 		"ack": {
 			enc(func(b *WireBuffer) { b.EncodeAck() }),
 			func(m []byte) error { return DecodeAck(m) },
@@ -210,6 +223,71 @@ func TestWireRoundTrip(t *testing.T) {
 	b.EncodeStatsResponse(ir.Stats{})
 	if st, err := DecodeStatsResponse(b.Bytes()); err != nil || st.Docs != 0 || len(st.DF) != 0 {
 		t.Fatalf("empty stats: %+v %v", st, err)
+	}
+}
+
+// encodeWire returns a copy of the frame f encodes.
+func encodeWire(f func(b *WireBuffer)) []byte {
+	b := GetWireBuffer()
+	defer PutWireBuffer(b)
+	f(b)
+	return append([]byte(nil), b.Bytes()...)
+}
+
+// TestWireTracedEnvelope: an envelope returns its request ID and the
+// inner request frame byte for byte, for every request kind; an empty
+// ID, a nested envelope, a non-request inner frame and an inner frame
+// that fails its own checksum are rejected even though the envelope's
+// checksum verifies.
+func TestWireTracedEnvelope(t *testing.T) {
+	const id = "0123456789abcdef"
+	stats := wireTestStats()
+	topn := encodeWire(func(b *WireBuffer) { b.EncodeTopNRequest("champion ace", 10, stats) })
+	for name, inner := range map[string][]byte{
+		"topn":     topn,
+		"search":   encodeWire(func(b *WireBuffer) { b.EncodeSearchRequest("champion", ir.EvalPlan{N: 5, Budget: 2}, stats) }),
+		"addbatch": encodeWire(func(b *WireBuffer) { b.EncodeAddBatchRequest([]Op{{Doc: 1, Text: "ace"}}) }),
+		"stats":    encodeWire(func(b *WireBuffer) { b.EncodeStatsRequest() }),
+	} {
+		env := encodeWire(func(b *WireBuffer) { b.EncodeTraced(id, inner) })
+		if WirePeekKind(env) != WireTraced {
+			t.Fatalf("%s: envelope kind %#x", name, WirePeekKind(env))
+		}
+		gotID, gotInner, err := DecodeTraced(env)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if gotID != id || !bytes.Equal(gotInner, inner) {
+			t.Fatalf("%s: round trip gave id %q and %d inner bytes, want %q and %d", name, gotID, len(gotInner), id, len(inner))
+		}
+	}
+	_, inner, err := DecodeTraced(encodeWire(func(b *WireBuffer) { b.EncodeTraced(id, topn) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if query, n, st, err := DecodeTopNRequest(inner, nil); err != nil || query != "champion ace" || n != 10 || !reflect.DeepEqual(st, stats) {
+		t.Fatalf("inner top-N request: %q %d %+v %v", query, n, st, err)
+	}
+
+	wrap := func(id string, inner []byte) []byte {
+		return encodeWire(func(b *WireBuffer) { b.EncodeTraced(id, inner) })
+	}
+	badInner := append([]byte(nil), topn...)
+	badInner[len(badInner)-1] ^= 1 // the envelope's checksum covers this copy
+	for name, env := range map[string][]byte{
+		"empty id":       wrap("", topn),
+		"nested":         wrap(id, wrap(id, topn)),
+		"response inner": wrap(id, encodeWire(func(b *WireBuffer) { b.EncodeTopNResponse(wireTestResults()) })),
+		"error inner":    wrap(id, encodeWire(func(b *WireBuffer) { b.EncodeError(500, "x") })),
+		"corrupt inner":  wrap(id, badInner),
+		"no inner":       wrap(id, nil),
+		"bare request":   topn,
+	} {
+		if _, _, err := DecodeTraced(env); err == nil {
+			t.Fatalf("%s: envelope decoded", name)
+		} else if !errors.Is(err, ErrWireCorrupt) {
+			t.Fatalf("%s: %v is not ErrWireCorrupt", name, err)
+		}
 	}
 }
 
@@ -410,6 +488,13 @@ func FuzzWireDecode(f *testing.F) {
 	b.EncodeAck()
 	f.Add(append([]byte(nil), b.Bytes()...))
 	PutWireBuffer(b)
+	wrap := func(id string, inner []byte) []byte {
+		return encodeWire(func(b *WireBuffer) { b.EncodeTraced(id, inner) })
+	}
+	topn := encodeWire(func(b *WireBuffer) { b.EncodeTopNRequest("champion ace", 10, wireTestStats()) })
+	f.Add(wrap("0123456789abcdef", topn))
+	f.Add(wrap("r", encodeWire(func(b *WireBuffer) { b.EncodeStatsRequest() })))
+	f.Add(wrap("r", wrap("r", topn)))
 	f.Add([]byte("DLWIRE"))
 	f.Add([]byte{})
 
@@ -424,6 +509,13 @@ func FuzzWireDecode(f *testing.F) {
 		DecodeStatsRequest(data)
 		DecodeStatsResponse(data)
 		DecodeAck(data)
+		if id, inner, err := DecodeTraced(data); err == nil {
+			if id == "" || !WirePeekKind(inner).isRequest() {
+				t.Fatalf("envelope accepted with id %q around kind %#x", id, WirePeekKind(inner))
+			}
+			DecodeTopNRequest(inner, &cache)
+			DecodeSearchRequest(inner, &cache)
+		}
 		if kind, payload, err := DecodeWire(data); err == nil && kind == WireError {
 			DecodeErrorPayload(payload)
 		}

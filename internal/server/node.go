@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"net"
 	"net/http"
@@ -57,10 +58,11 @@ type NodeConfig struct {
 	// both the instrumentation and the endpoint; the query hot path
 	// then stays byte-identical to an uninstrumented server.
 	Metrics *obs.Registry
-	// SlowQuery, when set, emits one JSON line per /node/topn or
-	// /node/search slower than its threshold, carrying the
-	// coordinator's request ID (X-DL-Request) so node-side lines join
-	// the coordinator's. nil disables.
+	// SlowQuery, when set, emits one JSON line per top-N or planned
+	// search slower than its threshold, over HTTP or the upgraded
+	// connection alike, carrying the coordinator's request ID
+	// (X-DL-Request, or the traced wire envelope) so node-side lines
+	// join the coordinator's. nil disables.
 	SlowQuery *obs.SlowQueryLog
 	// JSONOnly disables the binary wire codec: binary request bodies
 	// answer 415 and the /node/wire upgrade endpoint is absent, so a
@@ -267,18 +269,58 @@ func (s *NodeServer) instrument(path string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// queryTrace builds the node-side trace for a query endpoint: created
-// only when the coordinator sent a request ID (X-DL-Request) or a
-// slow-query log wants spans, so the untraced hot path allocates
-// nothing. The ID is echoed in the response headers.
-func (s *NodeServer) queryTrace(w http.ResponseWriter, r *http.Request) *obs.Trace {
-	id := r.Header.Get(obs.HeaderRequestID)
-	if id == "" && s.slow == nil {
+// The node side of a query trace, shared by both transports (the HTTP
+// query endpoints and framed RPCs on an upgraded connection): one
+// trace per top-N or planned search, its "scoring" span, and its
+// Role:"node" slow-query record under the coordinator's request ID.
+
+// queryTrace builds the node-side trace of one query RPC, named by
+// the coordinator's request ID (a fresh one when id is ""). Only the
+// slow-query log reads node traces, so a node without one builds none
+// and its query path allocates nothing for tracing.
+func (s *NodeServer) queryTrace(id string) *obs.Trace {
+	if s.slow == nil {
 		return nil
 	}
-	tr := obs.NewTrace(id)
-	w.Header().Set(obs.HeaderRequestID, tr.ID)
+	return obs.NewTrace(id)
+}
+
+// httpQueryTrace is queryTrace for an HTTP query endpoint: the ID
+// arrives in X-DL-Request, and the trace's ID (the request's when
+// there is no trace) is echoed in the response headers.
+func (s *NodeServer) httpQueryTrace(w http.ResponseWriter, r *http.Request) *obs.Trace {
+	id := r.Header.Get(obs.HeaderRequestID)
+	tr := s.queryTrace(id)
+	if tr != nil {
+		id = tr.ID
+	}
+	if id != "" {
+		w.Header().Set(obs.HeaderRequestID, id)
+	}
 	return tr
+}
+
+// runQuery evaluates one node query under tr — an exact top-N is the
+// exact plan — recording its "scoring" span when tracing.
+func (s *NodeServer) runQuery(ctx context.Context, tr *obs.Trace, query string, plan ir.EvalPlan, stats ir.Stats) ([]ir.Result, ir.QualityEstimate) {
+	if tr == nil {
+		res, est, _ := s.node.SearchPlan(ctx, query, plan, stats)
+		return res, est
+	}
+	start := time.Now()
+	res, est, _ := s.node.SearchPlan(ctx, query, plan, stats)
+	tr.AddSpan("scoring", start)
+	return res, est
+}
+
+// recordQuery writes tr's slow-query record once the answer is
+// encoded (quality 0 omits the field, as for exact top-N).
+func (s *NodeServer) recordQuery(tr *obs.Trace, query string, quality float64, results int) {
+	if tr != nil {
+		s.slow.Record(tr, obs.SlowQueryRecord{
+			Role: "node", Query: query, Quality: quality, Results: results,
+		})
+	}
 }
 
 // NewNodeHandler returns the HTTP handler serving ix as a remote
@@ -460,15 +502,8 @@ func (s *NodeServer) topn(w http.ResponseWriter, r *http.Request) {
 	// client-facing validation lives in the coordinator, and the
 	// cluster's local/remote transparency depends on the node
 	// protocol never rejecting what a LocalNode accepts.
-	tr := s.queryTrace(w, r)
-	var scoreStart time.Time
-	if tr != nil {
-		scoreStart = time.Now()
-	}
-	res, _ := s.node.TopNWithStats(r.Context(), query, n, stats)
-	if tr != nil {
-		tr.AddSpan("scoring", scoreStart)
-	}
+	tr := s.httpQueryTrace(w, r)
+	res, _ := s.runQuery(r.Context(), tr, query, ir.EvalPlan{N: n}, stats)
 	// …encode by Accept.
 	if !s.jsonOnly && wantsWire(r) {
 		wb := persist.GetWireBuffer()
@@ -478,11 +513,7 @@ func (s *NodeServer) topn(w http.ResponseWriter, r *http.Request) {
 	} else {
 		writeJSON(w, http.StatusOK, dist.TopNResponse{Results: dist.ResultsToJSON(res)})
 	}
-	if tr != nil {
-		s.slow.Record(tr, obs.SlowQueryRecord{
-			Role: "node", Query: query, Results: len(res),
-		})
-	}
+	s.recordQuery(tr, query, 0, len(res))
 }
 
 func (s *NodeServer) search(w http.ResponseWriter, r *http.Request) {
@@ -512,15 +543,8 @@ func (s *NodeServer) search(w http.ResponseWriter, r *http.Request) {
 	}
 	// Degenerate plans mirror LocalNode (empty ranking, exact quality)
 	// for the same transparency reason as /node/topn.
-	tr := s.queryTrace(w, r)
-	var scoreStart time.Time
-	if tr != nil {
-		scoreStart = time.Now()
-	}
-	res, est, _ := s.node.SearchPlan(r.Context(), query, plan, stats)
-	if tr != nil {
-		tr.AddSpan("scoring", scoreStart)
-	}
+	tr := s.httpQueryTrace(w, r)
+	res, est := s.runQuery(r.Context(), tr, query, plan, stats)
 	if !s.jsonOnly && wantsWire(r) {
 		wb := persist.GetWireBuffer()
 		wb.EncodeSearchResponse(res, est)
@@ -532,11 +556,7 @@ func (s *NodeServer) search(w http.ResponseWriter, r *http.Request) {
 			Quality: dist.QualityToJSON(est),
 		})
 	}
-	if tr != nil {
-		s.slow.Record(tr, obs.SlowQueryRecord{
-			Role: "node", Query: query, Quality: est.Value(), Results: len(res),
-		})
-	}
+	s.recordQuery(tr, query, est.Value(), len(res))
 }
 
 func (s *NodeServer) load(w http.ResponseWriter, r *http.Request) {

@@ -30,7 +30,9 @@ import (
 //   - the persistent-connection transport: GET /node/wire with
 //     Upgrade: dlwire hijacks the connection and serves framed RPCs on
 //     it until the peer hangs up or goes idle — the per-query HTTP
-//     overhead disappears from the hot path.
+//     overhead disappears from the hot path. The 101 answer advertises
+//     the traced envelope (persist.WireTracedHeader), so traced RPCs
+//     ride the connection too, their request ID inside the frame.
 //
 // A node started JSON-only answers 415 to binary bodies and does not
 // register the upgrade endpoint, so clients negotiate down cleanly.
@@ -139,7 +141,8 @@ func (s *NodeServer) wireUpgrade(w http.ResponseWriter, r *http.Request) {
 	defer s.untrackWireConn(conn)
 	conn.SetWriteDeadline(time.Now().Add(wireWriteTimeout))
 	if _, err := io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nUpgrade: "+
-		persist.WireProtocol+"\r\nConnection: Upgrade\r\n\r\n"); err != nil {
+		persist.WireProtocol+"\r\nConnection: Upgrade\r\n"+
+		persist.WireTracedHeader+": 1\r\n\r\n"); err != nil {
 		return
 	}
 	s.serveWire(conn, rw.Reader)
@@ -210,11 +213,23 @@ func (s *NodeServer) serveWire(conn net.Conn, br *bufio.Reader) {
 }
 
 // handleWireFrame serves one framed RPC, encoding the response (data
-// or a framed error) into wb. The request semaphore bounds RPC
-// concurrency exactly like it bounds HTTP requests.
+// or a framed error) into wb. A traced envelope is peeled first: its
+// request ID names the node-side trace and slow-query record of a
+// query, and the inner request is served exactly like an unwrapped
+// one. The request semaphore bounds RPC concurrency exactly like it
+// bounds HTTP requests.
 func (s *NodeServer) handleWireFrame(frame []byte, wb *persist.WireBuffer) {
 	ctx := context.Background()
+	var id string
 	kind := persist.WirePeekKind(frame)
+	if kind == persist.WireTraced {
+		var err error
+		if id, frame, err = persist.DecodeTraced(frame); err != nil {
+			wb.EncodeError(http.StatusBadRequest, "unusable wire body: "+err.Error())
+			return
+		}
+		kind = persist.WirePeekKind(frame)
+	}
 	m := s.wireMet[kind]
 	if m.count != nil {
 		m.count.Inc()
@@ -234,9 +249,11 @@ func (s *NodeServer) handleWireFrame(frame []byte, wb *persist.WireBuffer) {
 			wb.EncodeError(http.StatusServiceUnavailable, "server at capacity")
 			break
 		}
-		res, _ := s.node.TopNWithStats(ctx, query, n, stats)
+		tr := s.queryTrace(id)
+		res, _ := s.runQuery(ctx, tr, query, ir.EvalPlan{N: n}, stats)
 		s.sem.Release()
 		wb.EncodeTopNResponse(res)
+		s.recordQuery(tr, query, 0, len(res))
 	case persist.WireSearchRequest:
 		query, plan, stats, err := persist.DecodeSearchRequest(frame, &s.statsCache)
 		if err != nil {
@@ -247,9 +264,11 @@ func (s *NodeServer) handleWireFrame(frame []byte, wb *persist.WireBuffer) {
 			wb.EncodeError(http.StatusServiceUnavailable, "server at capacity")
 			break
 		}
-		res, est, _ := s.node.SearchPlan(ctx, query, plan, stats)
+		tr := s.queryTrace(id)
+		res, est := s.runQuery(ctx, tr, query, plan, stats)
 		s.sem.Release()
 		wb.EncodeSearchResponse(res, est)
+		s.recordQuery(tr, query, est.Value(), len(res))
 	case persist.WireStatsRequest:
 		if err := persist.DecodeStatsRequest(frame); err != nil {
 			wb.EncodeError(http.StatusBadRequest, "unusable wire body: "+err.Error())
